@@ -192,6 +192,9 @@ pub struct Graph {
     nodes: Vec<Node>,
     /// Parameter leaves registered via [`Graph::param`], for gradient export.
     param_vars: Vec<(ParamId, Var)>,
+    /// Set by [`Graph::with_frozen_params`]: [`Graph::param`] records
+    /// constants instead of gradient leaves.
+    frozen_params: bool,
 }
 
 impl Default for Graph {
@@ -203,7 +206,16 @@ impl Default for Graph {
 impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::with_capacity(256), param_vars: Vec::new() }
+        Graph { nodes: Vec::with_capacity(256), param_vars: Vec::new(), frozen_params: false }
+    }
+
+    /// Creates an empty tape on which [`Graph::param`] records the weights
+    /// as non-grad constant leaves. Forward values are bit-identical to an
+    /// ordinary tape, but a backward computes no weight gradients, only the
+    /// gradients of leaves made with [`Graph::leaf_with_grad`].
+    /// [`Graph::param_grads`] returns zeros.
+    pub fn with_frozen_params() -> Self {
+        Graph { frozen_params: true, ..Self::new() }
     }
 
     fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
@@ -241,8 +253,12 @@ impl Graph {
         self.nodes[v.0].requires_grad
     }
 
-    /// Records a trainable-parameter leaf (value copied from the store).
+    /// Records a trainable-parameter leaf (value copied from the store), or
+    /// a constant on a [`Graph::with_frozen_params`] tape.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        if self.frozen_params {
+            return self.constant(store.get(id).clone());
+        }
         let v = self.push(store.get(id).clone(), Op::Leaf, true);
         self.param_vars.push((id, v));
         v
@@ -636,40 +652,56 @@ impl Graph {
             Op::Scale(a, s) => self.accumulate(*a, grad.scale(*s)),
             Op::AddScalar(a) => self.accumulate(*a, grad.clone()),
             Op::Matmul(a, b) => {
-                let ga = matmul_nt(grad, &self.nodes[b.0].value);
-                let gb = matmul_tn(&self.nodes[a.0].value, grad);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
+                if self.rg(*a) {
+                    let ga = matmul_nt(grad, &self.nodes[b.0].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.rg(*b) {
+                    let gb = matmul_tn(&self.nodes[a.0].value, grad);
+                    self.accumulate(*b, gb);
+                }
             }
             Op::MatmulNT(a, b) => {
                 // y = a @ b^T  =>  da = grad @ b,  db = grad^T @ a.
-                let ga = matmul(grad, &self.nodes[b.0].value);
-                let gb = matmul_tn(grad, &self.nodes[a.0].value);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
+                if self.rg(*a) {
+                    let ga = matmul(grad, &self.nodes[b.0].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.rg(*b) {
+                    let gb = matmul_tn(grad, &self.nodes[a.0].value);
+                    self.accumulate(*b, gb);
+                }
             }
             Op::BiasRow(x, b) => {
-                self.accumulate(*x, grad.clone());
-                let n = self.nodes[b.0].value.numel();
-                let mut gb = workspace::take_vec_zeroed(n);
-                for row in grad.data().chunks(n) {
-                    for (g, &r) in gb.iter_mut().zip(row) {
-                        *g += r;
-                    }
+                if self.rg(*x) {
+                    self.accumulate(*x, grad.clone());
                 }
-                self.accumulate(*b, Tensor::from_vec(gb, self.nodes[b.0].value.dims()));
+                if self.rg(*b) {
+                    let n = self.nodes[b.0].value.numel();
+                    let mut gb = workspace::take_vec_zeroed(n);
+                    for row in grad.data().chunks(n) {
+                        for (g, &r) in gb.iter_mut().zip(row) {
+                            *g += r;
+                        }
+                    }
+                    self.accumulate(*b, Tensor::from_vec(gb, self.nodes[b.0].value.dims()));
+                }
             }
             Op::BiasChannel(x, b) => {
-                self.accumulate(*x, grad.clone());
-                let c = self.nodes[b.0].value.numel();
-                let inner: usize = grad.dims()[2..].iter().product();
-                let mut gb = workspace::take_vec_zeroed(c);
-                for slab in grad.data().chunks(c * inner) {
-                    for (ch, sub) in slab.chunks(inner).enumerate() {
-                        gb[ch] += sub.iter().sum::<f32>();
-                    }
+                if self.rg(*x) {
+                    self.accumulate(*x, grad.clone());
                 }
-                self.accumulate(*b, Tensor::from_vec(gb, self.nodes[b.0].value.dims()));
+                if self.rg(*b) {
+                    let c = self.nodes[b.0].value.numel();
+                    let inner: usize = grad.dims()[2..].iter().product();
+                    let mut gb = workspace::take_vec_zeroed(c);
+                    for slab in grad.data().chunks(c * inner) {
+                        for (ch, sub) in slab.chunks(inner).enumerate() {
+                            gb[ch] += sub.iter().sum::<f32>();
+                        }
+                    }
+                    self.accumulate(*b, Tensor::from_vec(gb, self.nodes[b.0].value.dims()));
+                }
             }
             Op::Relu(a) => {
                 let g = grad.zip(&self.nodes[a.0].value, |g, x| if x > 0.0 { g } else { 0.0 });

@@ -357,6 +357,36 @@ fn no_grad_for_constants() {
     assert!(g.try_grad(x).is_none());
 }
 
+#[test]
+fn frozen_param_tape_matches_param_tape_with_zero_param_grads() {
+    // Weights recorded as constants change what backward computes, never
+    // the values: forward outputs and the input-leaf gradient must match the
+    // ordinary tape bit for bit, and no parameter receives a gradient.
+    let mut store = ParamStore::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(131);
+    let mlp = Mlp::new(&mut store, "m", &[6, 16, 8, 3], Activation::Softplus, &mut rng);
+    let x0 = Tensor::randn(&[7, 6], 1.0, &mut rng);
+    let run = |mut g: Graph| {
+        let x = g.leaf_with_grad(x0.clone());
+        let y = mlp.forward(&mut g, &store, x);
+        let sq = g.mul(y, y);
+        let loss = g.mean(sq);
+        g.backward(loss);
+        (g.value(y).clone(), g.grad(x).clone(), g.param_grads(&store))
+    };
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (y, gx, grads) = run(Graph::new());
+    let (fy, fgx, fgrads) = run(Graph::with_frozen_params());
+    assert_eq!(bits(&fy), bits(&y), "forward values differ");
+    assert_eq!(bits(&fgx), bits(&gx), "input gradients differ");
+    assert!(grads.iter().any(|t| t.data().iter().any(|&v| v != 0.0)));
+    assert_eq!(fgrads.len(), store.len());
+    for (f, g) in fgrads.iter().zip(&grads) {
+        assert_eq!(f.dims(), g.dims());
+        assert!(f.data().iter().all(|&v| v.to_bits() == 0), "frozen weight got a gradient");
+    }
+}
+
 /// Trilinear weights of a unit-cell point `(u, v, w)` over the 8 vertices in
 /// `(d, h, w)` bit order — the decoder's Eqn. 6 blending, reproduced here so
 /// the gradcheck exercises realistic (convex, partly zero) weight vectors.

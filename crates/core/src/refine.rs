@@ -9,6 +9,11 @@
 //! frozen constants), take the equation residual at the client's query
 //! points as the loss, and run a few backtracking gradient steps.
 //!
+//! **Cost model.** Each candidate costs one forward, recorded on a
+//! [`Graph::with_frozen_params`] tape that holds the weights as constants.
+//! Only an accepted step's tape runs a backward, and it computes the latent
+//! gradient alone: one `dL/dx` GEMM per MLP layer, no weight gradients.
+//!
 //! Three properties the serving layer depends on are enforced here:
 //!
 //! - **Monotone residual.** A step is only *accepted* when it strictly
@@ -98,8 +103,8 @@ impl Default for RefineSettings {
 /// none can extend it past the server's caps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefineBudget {
-    /// Maximum candidate steps (gradient evaluations are bounded by
-    /// `max_steps + 1`). Zero means "decode without refining".
+    /// Maximum candidate steps (forwards are bounded by `max_steps + 1`,
+    /// backwards by `max_steps`). Zero means "decode without refining".
     pub max_steps: u32,
     /// Early-stop once the mean absolute residual is at or below this.
     pub tol: f32,
@@ -150,29 +155,11 @@ pub fn refine_latent(
     settings: &RefineSettings,
     budget: &RefineBudget,
 ) -> (Tensor, RefineReport) {
-    let residual_of = |lat: &Tensor| -> f32 {
-        let mut g = Graph::new();
-        let l = g.constant(lat.clone());
-        let loss = equation_loss_at_points(
-            &mut g,
-            store,
-            decoder,
-            l,
-            points,
-            grid_dims,
-            settings.extent_phys,
-            settings.params,
-            settings.stats,
-            settings.h_local,
-            settings.constraints,
-        );
-        g.value(loss).item()
-    };
-    // Same forward, but with the latent as a gradient leaf. The forward
-    // value is bit-identical to `residual_of` (the tape records the same
-    // ops either way), so accepted candidates reuse it.
-    let grad_of = |lat: &Tensor| -> (f32, Tensor) {
-        let mut g = Graph::new();
+    // One forward of `lat` on a frozen-weight tape: returns the residual and
+    // the tape's deferred latent-only backward, which the loop runs only for
+    // a point it descends from.
+    let record = |lat: &Tensor| {
+        let mut g = Graph::with_frozen_params();
         let l = g.leaf_with_grad(lat.clone());
         let loss = equation_loss_at_points(
             &mut g,
@@ -187,14 +174,16 @@ pub fn refine_latent(
             settings.h_local,
             settings.constraints,
         );
-        let v = g.value(loss).item();
-        g.backward(loss);
-        (v, g.grad(l).clone())
+        (g.value(loss).item(), move || {
+            let mut g = g; // consumed: the tape is freed once its gradient is read
+            g.backward(loss);
+            g.grad(l).clone()
+        })
     };
 
     let start = Instant::now();
     let mut cur = latent.clone();
-    let mut cur_res = residual_of(&cur);
+    let (mut cur_res, cur_grad) = record(&cur);
     let mut report = RefineReport {
         steps_run: 0,
         steps_accepted: 0,
@@ -202,12 +191,12 @@ pub fn refine_latent(
         final_residual: cur_res,
         residual_trace: vec![cur_res],
     };
-    if budget.max_steps == 0 || !cur_res.is_finite() {
+    if budget.max_steps == 0 || !cur_res.is_finite() || cur_res <= budget.tol {
         return (cur, report);
     }
 
     let mut lr = settings.lr.max(LR_FLOOR);
-    let mut grad = grad_of(&cur).1;
+    let mut grad = cur_grad();
     while report.steps_run < budget.max_steps
         && cur_res > budget.tol
         && lr >= LR_FLOOR
@@ -215,7 +204,7 @@ pub fn refine_latent(
     {
         report.steps_run += 1;
         let cand = axpy(&cur, -lr, &grad);
-        let cand_res = residual_of(&cand);
+        let (cand_res, cand_grad) = record(&cand);
         if cand_res.is_finite() && cand_res < cur_res {
             cur = cand;
             cur_res = cand_res;
@@ -229,7 +218,7 @@ pub fn refine_latent(
             // deterministic.
             lr *= 2.0;
             if report.steps_run < budget.max_steps && cur_res > budget.tol {
-                grad = grad_of(&cur).1;
+                grad = cand_grad();
             }
         } else {
             // Overshot (or hit a non-finite region): the direction is still
@@ -262,59 +251,109 @@ mod tests {
         (store, ContinuousDecoder::new(mlp, 5))
     }
 
+    fn latent(seed: u64) -> Tensor {
+        Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut ChaCha8Rng::seed_from_u64(seed))
+    }
+
+    type Points = [(usize, [f32; 3])];
+
     fn points(n: usize, seed: u64) -> Vec<(usize, [f32; 3])> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                (
-                    0usize,
-                    [
-                        rand::Rng::gen::<f32>(&mut rng),
-                        rand::Rng::gen::<f32>(&mut rng),
-                        rand::Rng::gen::<f32>(&mut rng),
-                    ],
-                )
-            })
-            .collect()
+        let mut u = || rand::Rng::gen::<f32>(&mut rng);
+        (0..n).map(|_| (0usize, [u(), u(), u()])).collect()
+    }
+
+    /// `refine_latent` with the test decoder, default settings and a
+    /// `[3, 4, 4]` grid.
+    fn refine(lat: &Tensor, pts: &Points, budget: RefineBudget) -> (Tensor, RefineReport) {
+        let (store, dec) = setup();
+        refine_latent(&store, &dec, lat, [3, 4, 4], pts, &RefineSettings::default(), &budget)
+    }
+
+    /// The two-tape descent `refine_latent` replaced, kept as its
+    /// bit-identity reference: a constant-latent tape for every residual and
+    /// a second tape, weights as gradient leaves, for every gradient.
+    fn refine_two_tape(lat: &Tensor, pts: &Points, budget: RefineBudget) -> (Tensor, RefineReport) {
+        let (store, dec) = setup();
+        let s = RefineSettings::default();
+        let eval = |lat: &Tensor, want_grad: bool| -> (f32, Option<Tensor>) {
+            let mut g = Graph::new();
+            let l = if want_grad { g.leaf_with_grad(lat.clone()) } else { g.constant(lat.clone()) };
+            let (e, p, st, h, c) = (s.extent_phys, s.params, s.stats, s.h_local, s.constraints);
+            let loss =
+                equation_loss_at_points(&mut g, &store, &dec, l, pts, [3, 4, 4], e, p, st, h, c);
+            let v = g.value(loss).item();
+            want_grad.then(|| g.backward(loss));
+            (v, want_grad.then(|| g.grad(l).clone()))
+        };
+        let mut cur = lat.clone();
+        let mut cur_res = eval(&cur, false).0;
+        let mut report = RefineReport {
+            steps_run: 0,
+            steps_accepted: 0,
+            initial_residual: cur_res,
+            final_residual: cur_res,
+            residual_trace: vec![cur_res],
+        };
+        if budget.max_steps == 0 || !cur_res.is_finite() {
+            return (cur, report);
+        }
+        let mut lr = s.lr.max(LR_FLOOR);
+        let mut grad = eval(&cur, true).1.unwrap();
+        while report.steps_run < budget.max_steps && cur_res > budget.tol && lr >= LR_FLOOR {
+            report.steps_run += 1;
+            let cand = axpy(&cur, -lr, &grad);
+            let cand_res = eval(&cand, false).0;
+            if cand_res.is_finite() && cand_res < cur_res {
+                (cur, cur_res) = (cand, cand_res);
+                report.steps_accepted += 1;
+                report.residual_trace.push(cur_res);
+                lr *= 2.0;
+                if report.steps_run < budget.max_steps && cur_res > budget.tol {
+                    grad = eval(&cur, true).1.unwrap();
+                }
+            } else {
+                lr *= 0.5;
+            }
+        }
+        report.final_residual = cur_res;
+        (cur, report)
+    }
+
+    #[test]
+    fn one_tape_descent_is_bit_identical_to_two_tape_reference() {
+        let (mut saw_reject, mut saw_tol_stop) = (false, false);
+        for seed in 0..4u64 {
+            let (lat, pts) = (latent(100 + seed), points(6 + seed as usize, 200 + seed));
+            let initial = refine(&lat, &pts, RefineBudget::steps(0)).1.initial_residual;
+            let tol_stop = RefineBudget { max_steps: 64, tol: 0.9 * initial, max_micros: 0 };
+            for budget in [RefineBudget::steps(0), RefineBudget::steps(16), tol_stop] {
+                let (got, got_rep) = refine(&lat, &pts, budget);
+                let (want, want_rep) = refine_two_tape(&lat, &pts, budget);
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "seed {seed} {budget:?}: latents differ");
+                assert_eq!(got_rep, want_rep, "seed {seed} {budget:?}: reports differ");
+                saw_reject |= got_rep.steps_run > got_rep.steps_accepted;
+                saw_tol_stop |= budget.tol > 0.0 && got_rep.steps_run < budget.max_steps;
+            }
+        }
+        assert!(saw_reject, "no budget exercised a rejected step");
+        assert!(saw_tol_stop, "no budget stopped on the tolerance");
     }
 
     #[test]
     fn zero_steps_is_identity_and_reports_initial_residual() {
-        let (store, dec) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
-        let pts = points(6, 2);
-        let (out, rep) = refine_latent(
-            &store,
-            &dec,
-            &latent,
-            [3, 4, 4],
-            &pts,
-            &RefineSettings::default(),
-            &RefineBudget::steps(0),
-        );
-        assert_eq!(out.data(), latent.data(), "k=0 must not move the latent");
-        assert_eq!(rep.steps_run, 0);
-        assert_eq!(rep.steps_accepted, 0);
+        let lat = latent(1);
+        let (out, rep) = refine(&lat, &points(6, 2), RefineBudget::steps(0));
+        assert_eq!(out.data(), lat.data(), "k=0 must not move the latent");
+        assert_eq!((rep.steps_run, rep.steps_accepted), (0, 0));
         assert_eq!(rep.initial_residual, rep.final_residual);
         assert!(rep.initial_residual.is_finite() && rep.initial_residual > 0.0);
     }
 
     #[test]
     fn residual_trace_is_strictly_decreasing_over_accepted_steps() {
-        let (store, dec) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
-        let pts = points(8, 4);
-        let (_, rep) = refine_latent(
-            &store,
-            &dec,
-            &latent,
-            [3, 4, 4],
-            &pts,
-            &RefineSettings::default(),
-            &RefineBudget::steps(12),
-        );
+        let (_, rep) = refine(&latent(3), &points(8, 4), RefineBudget::steps(12));
         assert!(rep.steps_accepted > 0, "descent should accept at least one step");
         assert_eq!(rep.residual_trace.len() as u32, rep.steps_accepted + 1);
         for w in rep.residual_trace.windows(2) {
@@ -326,44 +365,19 @@ mod tests {
 
     #[test]
     fn refinement_is_deterministic() {
-        let (store, dec) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
-        let pts = points(5, 6);
-        let run = || {
-            refine_latent(
-                &store,
-                &dec,
-                &latent,
-                [3, 4, 4],
-                &pts,
-                &RefineSettings::default(),
-                &RefineBudget::steps(6),
-            )
-        };
-        let (a, ra) = run();
-        let (b, rb) = run();
+        let (lat, pts) = (latent(5), points(5, 6));
+        let (a, ra) = refine(&lat, &pts, RefineBudget::steps(6));
+        let (b, rb) = refine(&lat, &pts, RefineBudget::steps(6));
         assert_eq!(a.data(), b.data(), "refined latents must be bit-identical");
         assert_eq!(ra, rb);
     }
 
     #[test]
     fn input_latent_is_never_mutated() {
-        let (store, dec) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
-        let before = latent.data().to_vec();
-        let pts = points(4, 8);
-        let (out, rep) = refine_latent(
-            &store,
-            &dec,
-            &latent,
-            [3, 4, 4],
-            &pts,
-            &RefineSettings::default(),
-            &RefineBudget::steps(8),
-        );
-        assert_eq!(latent.data(), &before[..], "refine must not touch its input");
+        let lat = latent(7);
+        let before = lat.data().to_vec();
+        let (out, rep) = refine(&lat, &points(4, 8), RefineBudget::steps(8));
+        assert_eq!(lat.data(), &before[..], "refine must not touch its input");
         if rep.steps_accepted > 0 {
             assert_ne!(out.data(), &before[..], "accepted steps must move the copy");
         }
@@ -371,32 +385,15 @@ mod tests {
 
     #[test]
     fn tolerance_and_wallclock_stop_early() {
-        let (store, dec) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
-        let pts = points(4, 10);
+        let (lat, pts) = (latent(9), points(4, 10));
         // A tolerance above the initial residual: no steps at all.
-        let (_, rep) = refine_latent(
-            &store,
-            &dec,
-            &latent,
-            [3, 4, 4],
-            &pts,
-            &RefineSettings::default(),
-            &RefineBudget { max_steps: 10, tol: f32::MAX, max_micros: 0 },
-        );
+        let (_, rep) =
+            refine(&lat, &pts, RefineBudget { tol: f32::MAX, ..RefineBudget::steps(10) });
         assert_eq!(rep.steps_run, 0, "tolerance already met, no step should run");
         // A 1 µs wall-clock cap: the initial residual is still reported,
         // and the step count stays far below the budget.
-        let (_, rep) = refine_latent(
-            &store,
-            &dec,
-            &latent,
-            [3, 4, 4],
-            &pts,
-            &RefineSettings::default(),
-            &RefineBudget { max_steps: u32::MAX, tol: 0.0, max_micros: 1 },
-        );
+        let (_, rep) =
+            refine(&lat, &pts, RefineBudget { max_micros: 1, ..RefineBudget::steps(u32::MAX) });
         assert!(rep.steps_run <= 1, "wall-clock cap must bound the loop");
         assert!(rep.initial_residual.is_finite());
     }

@@ -769,9 +769,10 @@ pub fn check_refine_grad() -> Report {
         })
         .collect();
 
-    // Optimized side: the f32 tape, latent as the only gradient leaf —
-    // exactly what `mfn_core::refine_latent` evaluates per step.
-    let mut graph = Graph::new();
+    // Optimized side: the f32 tape, weights recorded as constants and the
+    // latent as the only gradient leaf — exactly the tape
+    // `mfn_core::refine_latent` records and walks backward per step.
+    let mut graph = Graph::with_frozen_params();
     let leaf = graph.leaf_with_grad(latent.clone());
     let loss = equation_loss_at_points(
         &mut graph,
